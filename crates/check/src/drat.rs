@@ -1,6 +1,6 @@
 //! A forward RUP/DRAT proof checker.
 //!
-//! The checker replays a [`Certificate`] recorded by a proof-logging
+//! The checker validates the [`Certificate`] recorded by a proof-logging
 //! [`Solver`]: it loads the premises, re-verifies every added clause by
 //! **reverse unit propagation** (assume the clause's negation, run unit
 //! propagation over the live database, require a conflict), applies
@@ -8,7 +8,42 @@
 //! clause for an unconditional refutation, or an assumption core for an
 //! `Unsat`-under-assumptions answer.
 //!
-//! Soundness notes:
+//! # Incremental checking
+//!
+//! An incremental solver answers many queries on one growing proof log.
+//! A [`ProofChecker`] follows that log: it keeps its watched clause
+//! database, root trail and deletion index between checks, and at each
+//! `Unsat` answer it
+//!
+//! 1. inserts the premises logged since its last check,
+//! 2. RUP-checks and applies the derivation steps logged since then, in
+//!    order,
+//! 3. RUP-checks the new conclusion (which is never inserted).
+//!
+//! So every proof step is checked exactly once over the solver's life,
+//! instead of once per `Unsat` answer. [`check_certificate`] and
+//! [`certify_unsat`] are a fresh checker fed once: the one-shot check is
+//! the same engine with an empty starting state.
+//!
+//! Why checking deltas is sound: every clause in the database, and every
+//! unit on its root trail, is implied by the premises inserted so far —
+//! premises trivially, each accepted step because it is RUP with respect
+//! to such clauses. Deletions only remove clauses. So an accepted
+//! conclusion is implied by the premises of the log, as with a whole-log
+//! check. It is also at least as strict: a delta's premises go in before
+//! its steps, so no step is checked against a premise logged after its
+//! delta, and a step sees a subset of the premises a whole-log check
+//! would offer it.
+//!
+//! A log is identified by [`Certificate::log_id`], which is fresh each
+//! time logging is enabled and on every clone of a solver (clones share a
+//! prefix but diverge). The checker starts over from an empty database
+//! when the identity changes, when the premise or step count is smaller
+//! than what it has already checked, or when the variable count shrinks.
+//! It also drops its state after any rejection, so a later check
+//! re-verifies the whole log.
+//!
+//! Further soundness notes:
 //!
 //! * Deletions can never make the check unsound — clause entailment is
 //!   monotone — so a deletion that does not match any derived clause is
@@ -16,13 +51,16 @@
 //! * Tautological clauses cannot participate in unit propagation and are
 //!   skipped on insertion.
 //! * Once the root database propagates to a conflict, every clause is
-//!   trivially RUP; the checker short-circuits from that point on.
+//!   trivially RUP; the checker short-circuits from that point on. The
+//!   premises only grow, so this stays true for the rest of the log.
 
 use axmc_sat::{Certificate, LBool, Lit, ProofStep, Solver};
 use std::collections::HashMap;
 use std::fmt;
 
-/// Counters describing one successful certificate check.
+/// Counters describing one successful check. They count the work of
+/// that check only: for a [`ProofChecker`] that resumes a log, the
+/// premises and steps logged since its previous check.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CheckStats {
     /// Premise clauses loaded.
@@ -37,6 +75,14 @@ pub struct CheckStats {
     pub propagations: u64,
     /// Literals in the concluded clause (0 = unconditional refutation).
     pub conclusion_len: usize,
+}
+
+impl CheckStats {
+    /// Derivation steps processed: additions plus applied and ignored
+    /// deletions.
+    pub fn steps(&self) -> usize {
+        self.additions + self.deletions + self.ignored_deletions
+    }
 }
 
 /// A defect found while checking a certificate: the proof does **not**
@@ -112,6 +158,7 @@ impl fmt::Display for CertifyError {
 impl std::error::Error for CertifyError {}
 
 /// The watched-literal clause database of the forward checker.
+#[derive(Default)]
 struct Checker {
     assigns: Vec<LBool>,
     clauses: Vec<Vec<Lit>>,
@@ -123,22 +170,22 @@ struct Checker {
     qhead: usize,
     /// Sorted-literal key → derived (deletable) clause ids.
     by_key: HashMap<Vec<Lit>, Vec<u32>>,
+    /// Scratch buffer for the sorted key of a deletion step.
+    key: Vec<Lit>,
     root_conflict: bool,
     propagations: u64,
 }
 
 impl Checker {
-    fn new(num_vars: usize) -> Self {
-        Checker {
-            assigns: vec![LBool::Undef; num_vars],
-            clauses: Vec::new(),
-            alive: Vec::new(),
-            watches: vec![Vec::new(); 2 * num_vars],
-            trail: Vec::new(),
-            qhead: 0,
-            by_key: HashMap::new(),
-            root_conflict: false,
-            propagations: 0,
+    fn num_vars(&self) -> usize {
+        self.assigns.len()
+    }
+
+    /// Makes room for variables `0..num_vars`.
+    fn grow(&mut self, num_vars: usize) {
+        if num_vars > self.assigns.len() {
+            self.assigns.resize(num_vars, LBool::Undef);
+            self.watches.resize_with(2 * num_vars, Vec::new);
         }
     }
 
@@ -228,7 +275,6 @@ impl Checker {
                 return; // tautology: never propagates, skip
             }
         }
-        let key = c.clone();
         // Partition: move non-false literals to the front.
         let mut n_nonfalse = 0;
         for i in 0..c.len() {
@@ -257,11 +303,13 @@ impl Checker {
                 let cid = self.clauses.len() as u32;
                 self.watches[(!c[0]).code() as usize].push(cid);
                 self.watches[(!c[1]).code() as usize].push(cid);
-                self.clauses.push(c);
-                self.alive.push(true);
                 if deletable {
+                    let mut key = c.clone();
+                    key.sort_unstable();
                     self.by_key.entry(key).or_default().push(cid);
                 }
+                self.clauses.push(c);
+                self.alive.push(true);
             }
         }
     }
@@ -296,21 +344,31 @@ impl Checker {
         conflict
     }
 
-    /// Removes one derived clause with the given literal set, if any.
-    /// Returns `false` when nothing matched (the deletion is skipped).
+    /// Removes one derived clause with the given literal set, if any, and
+    /// frees its literals (watchers of a dead clause are skipped before
+    /// the clause is read). Returns `false` when nothing matched (the
+    /// deletion is skipped).
     fn delete(&mut self, lits: &[Lit]) -> bool {
-        let mut key: Vec<Lit> = lits.to_vec();
-        key.sort_unstable();
-        key.dedup();
-        if let Some(ids) = self.by_key.get_mut(&key) {
-            while let Some(cid) = ids.pop() {
-                if self.alive[cid as usize] {
-                    self.alive[cid as usize] = false;
-                    return true;
-                }
+        self.key.clear();
+        self.key.extend_from_slice(lits);
+        self.key.sort_unstable();
+        self.key.dedup();
+        let Some(ids) = self.by_key.get_mut(self.key.as_slice()) else {
+            return false;
+        };
+        let mut deleted = false;
+        while let Some(cid) = ids.pop() {
+            if self.alive[cid as usize] {
+                self.alive[cid as usize] = false;
+                self.clauses[cid as usize] = Vec::new();
+                deleted = true;
+                break;
             }
         }
-        false
+        if ids.is_empty() {
+            self.by_key.remove(self.key.as_slice());
+        }
+        deleted
     }
 }
 
@@ -332,102 +390,216 @@ fn check_range(
     Ok(())
 }
 
-/// Forward-checks a complete certificate.
+/// A forward RUP/DRAT checker that follows one proof-logging solver
+/// across its `Unsat` answers, checking each proof step once (see the
+/// [module documentation](self) for the delta order and why it is
+/// sound).
 ///
-/// Verifies, in order: every premise and step literal is in range; every
-/// [`ProofStep::Add`] clause is RUP with respect to the database alive
-/// before it; the concluded clause consists only of negated assumptions;
-/// and the concluded clause is itself RUP with respect to the final
-/// database. An empty conclusion therefore certifies that the premises
-/// alone are unsatisfiable.
+/// Cloning yields an empty checker: a clone accompanies a cloned solver,
+/// whose log has a fresh identity, so carried-over state would be
+/// discarded at its first check anyway.
 ///
-/// # Errors
+/// # Examples
 ///
-/// Returns the first [`ProofError`] encountered; a returned `Ok` means
-/// the `Unsat` verdict is independently established by the certificate.
-pub fn check_certificate(cert: &Certificate<'_>) -> Result<CheckStats, ProofError> {
-    let mut checker = Checker::new(cert.num_vars);
-    let mut stats = CheckStats {
-        conclusion_len: cert.conclusion.len(),
-        ..CheckStats::default()
-    };
-    for (i, premise) in cert.premises.iter().enumerate() {
-        check_range(cert.num_vars, "premise", i, premise)?;
-        checker.insert(premise, false);
-        stats.premises += 1;
-    }
-    for (i, step) in cert.steps.iter().enumerate() {
-        match step {
-            ProofStep::Add(lits) => {
-                check_range(cert.num_vars, "derivation", i, lits)?;
-                if !checker.is_rup(lits) {
-                    return Err(ProofError::NotRup { step: i });
-                }
-                checker.insert(lits, true);
-                stats.additions += 1;
-            }
-            ProofStep::Delete(lits) => {
-                check_range(cert.num_vars, "deletion", i, lits)?;
-                if checker.delete(lits) {
-                    stats.deletions += 1;
-                } else {
-                    stats.ignored_deletions += 1;
-                }
-            }
-        }
-    }
-    check_range(cert.num_vars, "conclusion", 0, cert.conclusion)?;
-    for &l in cert.conclusion {
-        if !cert.assumptions.contains(&!l) {
-            return Err(ProofError::ConclusionNotOnAssumptions { lit: l });
-        }
-    }
-    if !checker.is_rup(cert.conclusion) {
-        return Err(ProofError::ConclusionNotRup);
-    }
-    stats.propagations = checker.propagations;
-    Ok(stats)
+/// ```
+/// use axmc_check::ProofChecker;
+/// use axmc_sat::{Solver, SolverConfig, SolveResult};
+///
+/// let mut solver = Solver::with_config(SolverConfig::new().with_proof_logging(true));
+/// let x = solver.new_var().positive();
+/// let y = solver.new_var().positive();
+/// solver.add_clause(&[x, y]);
+/// let mut checker = ProofChecker::new();
+/// assert_eq!(solver.solve_with_assumptions(&[!x, !y]), SolveResult::Unsat);
+/// assert_eq!(checker.certify(&solver)?.premises, 1);
+/// solver.add_clause(&[!x]);
+/// assert_eq!(solver.solve_with_assumptions(&[!y]), SolveResult::Unsat);
+/// // The second check loads only the premise added since the first.
+/// assert_eq!(checker.certify(&solver)?.premises, 1);
+/// # Ok::<(), axmc_check::CertifyError>(())
+/// ```
+#[derive(Default)]
+pub struct ProofChecker {
+    db: Checker,
+    /// Identity of the log `db` was built from; `None` while empty.
+    log_id: Option<u64>,
+    /// Premises of that log already inserted into `db`.
+    premises: usize,
+    /// Steps of that log already checked and applied to `db`.
+    steps: usize,
 }
 
-/// Fetches and forward-checks the certificate of `solver`'s most recent
-/// `Unsat` answer, recording proof size and check time via `axmc-obs`
-/// (`check.certified` / `check.rejected` counters, `check.proof.steps`
-/// and `check.proof.premises` histograms, `check.certify.time_us` span).
+impl Clone for ProofChecker {
+    fn clone(&self) -> Self {
+        ProofChecker::new()
+    }
+}
+
+impl fmt::Debug for ProofChecker {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ProofChecker")
+            .field("log_id", &self.log_id)
+            .field("premises", &self.premises)
+            .field("steps", &self.steps)
+            .finish_non_exhaustive()
+    }
+}
+
+impl ProofChecker {
+    /// An empty checker, following no log yet.
+    pub fn new() -> Self {
+        ProofChecker::default()
+    }
+
+    /// Checks `cert`, resuming from this checker's previous check when
+    /// `cert` extends the same log, and from an empty database otherwise.
+    ///
+    /// Verifies, in order: every new premise and step literal is in
+    /// range; every new [`ProofStep::Add`] clause is RUP with respect to
+    /// the database alive before it; the concluded clause consists only
+    /// of negated assumptions; and the concluded clause is itself RUP
+    /// with respect to the final database. An empty conclusion therefore
+    /// certifies that the premises alone are unsatisfiable.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`ProofError`] encountered (step indices count
+    /// from the start of the log) and drops the checker's state; a
+    /// returned `Ok` means the `Unsat` verdict is independently
+    /// established by the certificate.
+    pub fn check(&mut self, cert: &Certificate<'_>) -> Result<CheckStats, ProofError> {
+        let resumable = self.log_id == Some(cert.log_id)
+            && cert.premises.len() >= self.premises
+            && cert.steps.len() >= self.steps
+            && cert.num_vars >= self.db.num_vars();
+        if !resumable {
+            *self = ProofChecker {
+                log_id: Some(cert.log_id),
+                ..ProofChecker::new()
+            };
+        }
+        let outcome = self.check_delta(cert);
+        if outcome.is_err() {
+            *self = ProofChecker::new();
+        }
+        outcome
+    }
+
+    fn check_delta(&mut self, cert: &Certificate<'_>) -> Result<CheckStats, ProofError> {
+        let db = &mut self.db;
+        db.grow(cert.num_vars);
+        let propagations_before = db.propagations;
+        let mut stats = CheckStats {
+            conclusion_len: cert.conclusion.len(),
+            ..CheckStats::default()
+        };
+        for (i, premise) in cert.premises.iter().enumerate().skip(self.premises) {
+            check_range(cert.num_vars, "premise", i, premise)?;
+            db.insert(premise, false);
+            stats.premises += 1;
+        }
+        for (i, step) in cert.steps.iter().enumerate().skip(self.steps) {
+            match step {
+                ProofStep::Add(lits) => {
+                    check_range(cert.num_vars, "derivation", i, lits)?;
+                    if !db.is_rup(lits) {
+                        return Err(ProofError::NotRup { step: i });
+                    }
+                    db.insert(lits, true);
+                    stats.additions += 1;
+                }
+                ProofStep::Delete(lits) => {
+                    check_range(cert.num_vars, "deletion", i, lits)?;
+                    if db.delete(lits) {
+                        stats.deletions += 1;
+                    } else {
+                        stats.ignored_deletions += 1;
+                    }
+                }
+            }
+        }
+        self.premises = cert.premises.len();
+        self.steps = cert.steps.len();
+        check_range(cert.num_vars, "conclusion", 0, cert.conclusion)?;
+        for &l in cert.conclusion {
+            if !cert.assumptions.contains(&!l) {
+                return Err(ProofError::ConclusionNotOnAssumptions { lit: l });
+            }
+        }
+        if !db.is_rup(cert.conclusion) {
+            return Err(ProofError::ConclusionNotRup);
+        }
+        stats.propagations = db.propagations - propagations_before;
+        Ok(stats)
+    }
+
+    /// Fetches and checks the certificate of `solver`'s most recent
+    /// `Unsat` answer (see [`ProofChecker::check`]), recording the work
+    /// of this check via `axmc-obs`: `check.certified` / `check.rejected`
+    /// counters; `check.proof.steps`, `check.proof.premises` and
+    /// `check.certify.propagations` histograms of the steps, premises and
+    /// propagations this call checked; and the `check.certify.time_us`
+    /// span.
+    ///
+    /// # Errors
+    ///
+    /// [`CertifyError::NoCertificate`] when the solver is not logging or
+    /// its last answer was not `Unsat`; [`CertifyError::Rejected`] when
+    /// the checker refutes the proof (which indicates a solver soundness
+    /// bug).
+    pub fn certify(&mut self, solver: &Solver) -> Result<CheckStats, CertifyError> {
+        let cert = solver.certificate().ok_or(CertifyError::NoCertificate)?;
+        let timer = axmc_obs::span("check.certify.time_us");
+        let outcome = self.check(&cert);
+        let time_us = timer.finish();
+        if axmc_obs::enabled() {
+            match &outcome {
+                Ok(stats) => {
+                    axmc_obs::counter("check.certified").inc();
+                    axmc_obs::histogram("check.proof.steps").record(stats.steps() as u64);
+                    axmc_obs::histogram("check.proof.premises").record(stats.premises as u64);
+                    axmc_obs::histogram("check.certify.propagations").record(stats.propagations);
+                }
+                Err(_) => {
+                    axmc_obs::counter("check.rejected").inc();
+                }
+            }
+            if axmc_obs::tracing_active() {
+                let checked = outcome.as_ref().copied().unwrap_or_default();
+                axmc_obs::emit(
+                    axmc_obs::Event::new("check.certify")
+                        .field("ok", outcome.is_ok())
+                        .field("premises", checked.premises)
+                        .field("steps", checked.steps())
+                        .field("conclusion_len", cert.conclusion.len())
+                        .field("time_us", time_us),
+                );
+            }
+        }
+        outcome.map_err(CertifyError::Rejected)
+    }
+}
+
+/// Forward-checks a complete certificate with a fresh [`ProofChecker`].
 ///
 /// # Errors
 ///
-/// [`CertifyError::NoCertificate`] when the solver is not logging or its
-/// last answer was not `Unsat`; [`CertifyError::Rejected`] when the
-/// checker refutes the proof (which indicates a solver soundness bug).
+/// As [`ProofChecker::check`].
+pub fn check_certificate(cert: &Certificate<'_>) -> Result<CheckStats, ProofError> {
+    ProofChecker::new().check(cert)
+}
+
+/// Fetches and forward-checks the whole certificate of `solver`'s most
+/// recent `Unsat` answer with a fresh [`ProofChecker`], for solvers
+/// that answer once. A solver that answers many queries should keep one
+/// [`ProofChecker`] beside it instead, so each proof step is checked
+/// once.
+///
+/// # Errors
+///
+/// As [`ProofChecker::certify`].
 pub fn certify_unsat(solver: &Solver) -> Result<CheckStats, CertifyError> {
-    let cert = solver.certificate().ok_or(CertifyError::NoCertificate)?;
-    let timer = axmc_obs::span("check.certify.time_us");
-    let outcome = check_certificate(&cert);
-    let time_us = timer.finish();
-    if axmc_obs::enabled() {
-        match &outcome {
-            Ok(stats) => {
-                axmc_obs::counter("check.certified").inc();
-                axmc_obs::histogram("check.proof.steps").record(cert.steps.len() as u64);
-                axmc_obs::histogram("check.proof.premises").record(cert.premises.len() as u64);
-                axmc_obs::histogram("check.certify.propagations").record(stats.propagations);
-            }
-            Err(_) => {
-                axmc_obs::counter("check.rejected").inc();
-            }
-        }
-        if axmc_obs::tracing_active() {
-            axmc_obs::emit(
-                axmc_obs::Event::new("check.certify")
-                    .field("ok", outcome.is_ok())
-                    .field("premises", cert.premises.len())
-                    .field("steps", cert.steps.len())
-                    .field("conclusion_len", cert.conclusion.len())
-                    .field("time_us", time_us),
-            );
-        }
-    }
-    outcome.map_err(CertifyError::Rejected)
+    ProofChecker::new().certify(solver)
 }
 
 /// Error produced when parsing DRAT text fails.
@@ -601,6 +773,7 @@ mod tests {
         let premises = vec![vec![a, b]];
         let steps = vec![ProofStep::Add(vec![a])];
         let cert = Certificate {
+            log_id: 0,
             num_vars: 2,
             premises: &premises,
             steps: &steps,
@@ -618,6 +791,7 @@ mod tests {
         let a = Var::new(0).positive();
         let premises = vec![vec![a]];
         let cert = Certificate {
+            log_id: 0,
             num_vars: 1,
             premises: &premises,
             steps: &[],
@@ -631,6 +805,7 @@ mod tests {
     fn rejects_out_of_range_literal() {
         let premises = vec![vec![Var::new(7).positive()]];
         let cert = Certificate {
+            log_id: 0,
             num_vars: 3,
             premises: &premises,
             steps: &[],
@@ -700,6 +875,7 @@ mod tests {
             ProofStep::Add(vec![c]), // unsupported: not RUP
         ];
         let cert = Certificate {
+            log_id: 0,
             num_vars: 3,
             premises: &premises,
             steps: &steps,

@@ -12,8 +12,14 @@
 //!   [`axmc_sat::SolverConfig::with_proof_logging`]). The checker re-derives
 //!   every learnt clause by reverse unit propagation and finally verifies
 //!   the concluded clause — including assumption cores for incremental
-//!   BMC queries. [`certify_unsat`] is the one-call entry point the
-//!   engines use behind `--certify`.
+//!   BMC queries. A [`ProofChecker`] follows one incremental solver: at
+//!   each `Unsat` answer it inserts only the premises and checks only the
+//!   steps logged since its previous check, then the new conclusion, so
+//!   every proof step is checked once over the solver's life (see
+//!   [`drat`] for the delta order, why it is sound, and how a log's
+//!   identity makes the checker start over). The engines behind
+//!   `--certify` keep one beside each incremental solver; solvers that
+//!   answer once use [`certify_unsat`], a fresh checker fed once.
 //! * **Structural linting** ([`lint`]): diagnostics-style well-formedness
 //!   passes over the circuit IRs — AIG topology and latch wiring, netlist
 //!   topology and interface contracts, miter pair wiring, CNF sanity —
@@ -45,7 +51,7 @@ pub mod lint;
 
 pub use crate::drat::{
     certify_unsat, check_certificate, format_drat, parse_drat, CertifyError, CheckStats,
-    ParseDratError, ProofError,
+    ParseDratError, ProofChecker, ProofError,
 };
 pub use crate::lint::{
     has_errors, lint_aig, lint_cnf, lint_netlist, lint_pair, lint_semantics, Diagnostic, Severity,

@@ -17,6 +17,7 @@ use crate::verdict::Verdict;
 use axmc_absint::{static_word_bounds, StaticOutcome, WordBounds, DEFAULT_PROBE_VECTORS};
 use axmc_aig::{bits_to_u128, sim::for_each_assignment, Aig};
 use axmc_bdd::{BuildBddError, Manager};
+use axmc_check::ProofChecker;
 use axmc_cnf::{encode_comb, gates};
 use axmc_miter::{
     abs_diff_word_miter, bit_flip_threshold_miter, diff_threshold_miter, diff_word_miter,
@@ -110,12 +111,20 @@ impl<'a> CombAnalyzer<'a> {
         solver.configure(&self.options.solver_config().with_ctl(ctl.clone()));
     }
 
-    /// In certified mode, validates the UNSAT answer `solver` just gave.
-    fn certify_unsat(&self, solver: &Solver, what: &str) -> Result<(), AnalysisError> {
+    /// In certified mode, validates the UNSAT answer `solver` just gave
+    /// with `checker`, which follows that solver's proof log: a probe
+    /// ladder on one solver keeps one checker, so each proof step is
+    /// checked once.
+    fn certify_unsat(
+        &self,
+        checker: &mut ProofChecker,
+        solver: &Solver,
+        what: &str,
+    ) -> Result<(), AnalysisError> {
         if !self.options.certify {
             return Ok(());
         }
-        match axmc_check::certify_unsat(solver) {
+        match checker.certify(solver) {
             Ok(_) => Ok(()),
             Err(e) => Err(AnalysisError::CertificateRejected {
                 engine: "comb".to_string(),
@@ -219,7 +228,7 @@ impl<'a> CombAnalyzer<'a> {
                     .collect(),
             }),
             SolveResult::Unsat => {
-                self.certify_unsat(&solver, "a threshold miter query")?;
+                self.certify_unsat(&mut ProofChecker::new(), &solver, "a threshold miter query")?;
                 Ok(Verdict::Proved)
             }
             SolveResult::Unknown => Ok(Verdict::Interrupted {
@@ -368,6 +377,7 @@ impl<'a> CombAnalyzer<'a> {
         // across the whole search.
         let (mut solver, enc) = encode_comb(miter);
         self.arm_with(&mut solver, ctl);
+        let mut checker = ProofChecker::new();
         let true_lit = enc.lit(axmc_aig::Lit::TRUE);
         let mut sat_calls = 0u64;
         let value = search_max_error_in("comb.wce", max, window, |t| {
@@ -385,7 +395,7 @@ impl<'a> CombAnalyzer<'a> {
                     Ok(Verdict::Refuted { witness: witnessed })
                 }
                 SolveResult::Unsat => {
-                    self.certify_unsat(&solver, "a worst-case-error probe")?;
+                    self.certify_unsat(&mut checker, &solver, "a worst-case-error probe")?;
                     Ok(Verdict::Proved)
                 }
                 SolveResult::Unknown => Ok(Verdict::Interrupted {
@@ -464,6 +474,7 @@ impl<'a> CombAnalyzer<'a> {
         let max = self.golden.num_outputs() as u128;
         let (mut solver, enc) = encode_comb(miter);
         self.arm_with(&mut solver, ctl);
+        let mut checker = ProofChecker::new();
         let true_lit = enc.lit(axmc_aig::Lit::TRUE);
         let mut sat_calls = 0u64;
         let value = search_max_error_in("comb.bit_flip", max, window, |t| {
@@ -483,7 +494,7 @@ impl<'a> CombAnalyzer<'a> {
                     })
                 }
                 SolveResult::Unsat => {
-                    self.certify_unsat(&solver, "a bit-flip probe")?;
+                    self.certify_unsat(&mut checker, &solver, "a bit-flip probe")?;
                     Ok(Verdict::Proved)
                 }
                 SolveResult::Unknown => Ok(Verdict::Interrupted {
@@ -881,7 +892,11 @@ impl<'a> CombAnalyzer<'a> {
             match solver.solve_with_assumptions(&[enc.outputs[0]]) {
                 SolveResult::Sat => return Ok(Some(bit)),
                 SolveResult::Unsat => {
-                    self.certify_unsat(&solver, "an nth-bit miter query")?;
+                    self.certify_unsat(
+                        &mut ProofChecker::new(),
+                        &solver,
+                        "an nth-bit miter query",
+                    )?;
                     continue;
                 }
                 SolveResult::Unknown => {
@@ -942,7 +957,11 @@ impl<'a> CombAnalyzer<'a> {
                     }
                 }
                 SolveResult::Unsat => {
-                    self.certify_unsat(&solver, "the error-input enumeration closure")?;
+                    self.certify_unsat(
+                        &mut ProofChecker::new(),
+                        &solver,
+                        "the error-input enumeration closure",
+                    )?;
                     return Ok(ErrorInputCount::Exactly(count));
                 }
                 SolveResult::Unknown => {

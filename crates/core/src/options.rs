@@ -3,8 +3,7 @@
 //! Budget/certify/jobs/sweep used to drift independently across
 //! `CombAnalyzer`, `SeqAnalyzer`, `InductionOptions` and the CGP search
 //! options. [`AnalysisOptions`] consolidates them: both analyzers accept
-//! it via `with_options`, and the old per-knob builders survive only as
-//! deprecated forwarders.
+//! it via `with_options`.
 
 use crate::cache::CacheHandle;
 use crate::engine::{Backend, DEFAULT_BDD_NODE_LIMIT};

@@ -109,7 +109,7 @@ impl ThresholdEngine {
             }),
             SolveResult::Unsat => {
                 if self.unroller.certify() {
-                    if let Err(e) = axmc_check::certify_unsat(self.unroller.solver()) {
+                    if let Err(e) = self.unroller.certify_unsat() {
                         return Err(AnalysisError::CertificateRejected {
                             engine: "seq".to_string(),
                             detail: format!(

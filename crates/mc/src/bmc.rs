@@ -7,7 +7,7 @@
 
 use crate::{BmcOptions, CertificateRejected, Trace, Unroller};
 use axmc_aig::Aig;
-use axmc_sat::{Budget, Interrupt, Lit as SatLit, ResourceCtl, SolveResult};
+use axmc_sat::{Interrupt, Lit as SatLit, ResourceCtl, SolveResult};
 
 /// Outcome of a bounded check.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -119,9 +119,7 @@ impl<'a> Bmc<'a> {
 
     /// Applies `options` — resource control, certification, and the rest
     /// of the embedded [`SolverConfig`](axmc_sat::SolverConfig) — to the
-    /// underlying solver. The one documented way to reconfigure a live
-    /// checker; see [`BmcOptions`] for the migration table from the
-    /// deprecated per-knob setters.
+    /// underlying solver. The one way to reconfigure a live checker.
     pub fn configure(&mut self, options: &BmcOptions) {
         self.unroller.configure(options.solver());
     }
@@ -146,44 +144,9 @@ impl<'a> Bmc<'a> {
         self.unroller.solver().num_clauses()
     }
 
-    /// Sets the budget applied to each subsequent solver call.
-    #[deprecated(note = "use `Bmc::configure` with `BmcOptions::with_budget` \
-                (see the `axmc_mc::options` migration table)")]
-    pub fn set_budget(&mut self, budget: Budget) {
-        let config = self.unroller.solver().current_config().with_budget(budget);
-        self.unroller.configure(&config);
-    }
-
-    /// Sets the full resource control — budget, deadline and cancellation
-    /// token — applied to each subsequent solver call.
-    #[deprecated(note = "use `Bmc::configure` with `BmcOptions::with_ctl` \
-                (see the `axmc_mc::options` migration table)")]
-    pub fn set_ctl(&mut self, ctl: ResourceCtl) {
-        let config = self.unroller.solver().current_config().with_ctl(ctl);
-        self.unroller.configure(&config);
-    }
-
     /// The resource control currently governing solver calls.
     pub fn ctl(&self) -> &ResourceCtl {
         self.unroller.solver().ctl()
-    }
-
-    /// Switches certified mode on or off. While on, every `Clear`
-    /// verdict is independently validated by replaying the solver's
-    /// clausal proof through the forward RUP/DRAT checker, and every
-    /// counterexample is replayed through AIG simulation before being
-    /// returned. A failed validation surfaces as
-    /// [`CertificateRejected`] from the check call — the solver produced
-    /// an unsound answer, and no result derived from it can be trusted.
-    #[deprecated(note = "use `Bmc::configure` with `BmcOptions::with_certify` \
-                (see the `axmc_mc::options` migration table)")]
-    pub fn set_certify(&mut self, on: bool) {
-        let config = self
-            .unroller
-            .solver()
-            .current_config()
-            .with_proof_logging(on);
-        self.unroller.configure(&config);
     }
 
     /// Returns `true` if certified mode is on.
@@ -193,11 +156,11 @@ impl<'a> Bmc<'a> {
 
     /// In certified mode, validates the proof behind the UNSAT answer
     /// just produced by the unroller's solver.
-    fn certify_clear(&self, mode: &str, k: usize) -> Result<(), CertificateRejected> {
+    fn certify_clear(&mut self, mode: &str, k: usize) -> Result<(), CertificateRejected> {
         if !self.unroller.certify() {
             return Ok(());
         }
-        if let Err(e) = axmc_check::certify_unsat(self.unroller.solver()) {
+        if let Err(e) = self.unroller.certify_unsat() {
             return Err(CertificateRejected {
                 engine: "bmc".to_string(),
                 detail: format!(
@@ -378,6 +341,7 @@ impl From<Trace> for Vec<Vec<bool>> {
 mod tests {
     use super::*;
     use axmc_aig::Word;
+    use axmc_sat::Budget;
     use std::time::Duration;
 
     /// A 3-bit counter that increments every cycle; bad = counter == target.
@@ -607,27 +571,6 @@ mod tests {
         live.configure(&options);
         assert!(live.certify(), "configure flips certification on");
         assert_eq!(live.check_at(3).unwrap(), BmcResult::Clear);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_setters_still_forward() {
-        let aig = counter_reaches(7);
-        let mut bmc = Bmc::new(&aig);
-        bmc.set_certify(true);
-        assert!(bmc.certify());
-        bmc.set_budget(Budget::unlimited().with_conflicts(0).with_propagations(1));
-        assert!(
-            bmc.certify(),
-            "re-arming the budget must not drop certification"
-        );
-        let r = bmc.check_at(6).unwrap();
-        assert!(matches!(r, BmcResult::Unknown(_) | BmcResult::Clear));
-        bmc.set_ctl(ResourceCtl::unlimited().with_timeout(Duration::ZERO));
-        assert_eq!(
-            bmc.check_at(6).unwrap(),
-            BmcResult::Unknown(Interrupt::Deadline)
-        );
     }
 
     #[test]

@@ -13,15 +13,6 @@
 //! solver configuration, so the checker validates proofs precisely when
 //! the solver records them.
 //!
-//! # Migration from the setter trio
-//!
-//! | deprecated setter           | replacement                                         |
-//! |-----------------------------|-----------------------------------------------------|
-//! | `Bmc::set_budget(b)`        | `bmc.configure(&BmcOptions::new().with_budget(b))`  |
-//! | `Bmc::set_ctl(ctl)`         | `bmc.configure(&BmcOptions::new().with_ctl(ctl))`   |
-//! | `Bmc::set_certify(true)`    | `BmcOptions::new().with_certify(true)`              |
-//! | `Unroller::set_*`           | `Unroller::configure(&solver_config)`               |
-//!
 //! # Examples
 //!
 //! ```
@@ -51,8 +42,7 @@ use axmc_sat::{Budget, ResourceCtl, SolverConfig};
 /// checker-level certification switch (which is itself stored as the
 /// solver's proof-logging flag — there is one knob, not two).
 ///
-/// See the [module documentation](self) for the migration table from the
-/// deprecated `set_*` mutators.
+/// See the [module documentation](self) for a usage example.
 #[derive(Clone, Debug, Default)]
 pub struct BmcOptions {
     solver: SolverConfig,
@@ -85,8 +75,8 @@ impl BmcOptions {
     }
 
     /// Switches certified mode on or off. While on, every `Clear`
-    /// verdict is validated by replaying the solver's clausal proof
-    /// through the forward RUP/DRAT checker, and every counterexample is
+    /// verdict is validated by checking the solver's clausal proof with
+    /// the forward RUP/DRAT checker, and every counterexample is
     /// replayed through AIG simulation. Implemented as the solver's
     /// proof-logging flag.
     pub fn with_certify(mut self, on: bool) -> Self {

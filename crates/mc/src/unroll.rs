@@ -9,8 +9,9 @@
 
 use crate::Trace;
 use axmc_aig::Aig;
+use axmc_check::{CertifyError, CheckStats, ProofChecker};
 use axmc_cnf::{assert_const_false, encode_frame, FrameEncoding};
-use axmc_sat::{Budget, Lit as SatLit, ResourceCtl, Solver, SolverConfig};
+use axmc_sat::{Lit as SatLit, Solver, SolverConfig};
 
 /// An incremental time-frame unroller over a sequential AIG.
 ///
@@ -37,11 +38,15 @@ use axmc_sat::{Budget, Lit as SatLit, ResourceCtl, Solver, SolverConfig};
 /// An unroller is plain owned data: it is `Send` (movable onto worker
 /// threads) and `Clone` — cloning duplicates the solver with all frames
 /// and learnt clauses, which is how portfolio threshold probes get
-/// warmed-up engines without re-encoding the product machine.
+/// warmed-up engines without re-encoding the product machine. The clone's
+/// proof checker starts empty, since the cloned solver's proof log is a
+/// new log.
 #[derive(Clone, Debug)]
 pub struct Unroller {
     aig: Aig,
     solver: Solver,
+    /// Follows `solver`'s proof log; see [`Unroller::certify_unsat`].
+    checker: ProofChecker,
     const_false: SatLit,
     frames: Vec<FrameEncoding>,
     frontier: Vec<SatLit>,
@@ -60,6 +65,7 @@ impl Unroller {
         Unroller {
             aig,
             solver,
+            checker: ProofChecker::new(),
             const_false,
             frames: Vec::new(),
             frontier,
@@ -163,41 +169,24 @@ impl Unroller {
     /// Applies a full [`SolverConfig`] — resource control, proof
     /// logging, inprocessing and clause sharing — to the underlying
     /// solver. Enabling proof logging on a live unroller snapshots the
-    /// already-encoded frames as premises; re-applying a logging
+    /// already-encoded frames as premises, so UNSAT answers posed over the
+    /// frames carry a [`Certificate`](axmc_sat::Certificate) that
+    /// [`Unroller::certify_unsat`] checks; re-applying a logging
     /// configuration keeps the existing proof buffer.
     pub fn configure(&mut self, config: &SolverConfig) {
         self.solver.configure(config);
     }
 
-    /// Sets the budget applied to subsequent solver calls.
-    #[deprecated(note = "use `Unroller::configure` with `SolverConfig::with_budget` \
-                (see the `axmc_sat::config` migration table)")]
-    pub fn set_budget(&mut self, budget: Budget) {
-        let config = self.solver.current_config().with_budget(budget);
-        self.solver.configure(&config);
-    }
-
-    /// Sets the full resource control — budget, deadline and cancellation
-    /// token — applied to subsequent solver calls.
-    #[deprecated(note = "use `Unroller::configure` with `SolverConfig::with_ctl` \
-                (see the `axmc_sat::config` migration table)")]
-    pub fn set_ctl(&mut self, ctl: ResourceCtl) {
-        let config = self.solver.current_config().with_ctl(ctl);
-        self.solver.configure(&config);
-    }
-
-    /// Enables or disables clausal proof logging on the underlying
-    /// solver, so UNSAT answers posed over the frames carry a
-    /// [`Certificate`](axmc_sat::Certificate) checkable with
-    /// [`axmc_check::certify_unsat`]. Enabling on a live unroller
-    /// snapshots the already-encoded frames as premises.
-    #[deprecated(
-        note = "use `Unroller::configure` with `SolverConfig::with_proof_logging` \
-                (see the `axmc_sat::config` migration table)"
-    )]
-    pub fn set_certify(&mut self, on: bool) {
-        let config = self.solver.current_config().with_proof_logging(on);
-        self.solver.configure(&config);
+    /// Certifies the `Unsat` answer the solver just gave with the
+    /// unroller's own proof checker. The checker follows the solver's
+    /// proof log across calls, so each call checks only the premises and
+    /// steps logged since the previous one, then the new conclusion.
+    ///
+    /// # Errors
+    ///
+    /// As [`ProofChecker::certify`].
+    pub fn certify_unsat(&mut self) -> Result<CheckStats, CertifyError> {
+        self.checker.certify(&self.solver)
     }
 
     /// Returns `true` if proof logging is active.

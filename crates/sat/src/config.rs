@@ -1,6 +1,6 @@
 //! The unified solver configuration surface.
 //!
-//! [`SolverConfig`] is the one documented way to configure a
+//! [`SolverConfig`] is the one way to configure a
 //! [`Solver`](crate::Solver): resource governance, proof logging,
 //! inprocessing and portfolio clause sharing are all carried by a single
 //! immutable builder value that can be stamped onto a solver with
@@ -8,22 +8,6 @@
 //! [`Solver::current_config`](crate::Solver::current_config), and handed
 //! across layers (the model checker's `BmcOptions` and the analysis
 //! layer's `AnalysisOptions` both embed or produce one).
-//!
-//! # Migration from the setter quartet
-//!
-//! The accreted per-knob mutators are deprecated in favor of the builder:
-//!
-//! | deprecated setter                  | replacement                                          |
-//! |------------------------------------|------------------------------------------------------|
-//! | `Solver::set_budget(b)`            | `solver.configure(&cfg.with_budget(b))`              |
-//! | `Solver::set_ctl(ctl)`             | `solver.configure(&cfg.with_ctl(ctl))`               |
-//! | `Solver::set_proof_logging(true)`  | `solver.configure(&cfg.with_proof_logging(true))`    |
-//! | `Bmc::set_budget` / `set_ctl`      | `Bmc::configure(&BmcOptions::new().with_ctl(..))`    |
-//! | `Bmc::set_certify(true)`           | `BmcOptions::new().with_certify(true)`               |
-//!
-//! where `cfg` is either `SolverConfig::new()` for a fresh policy or
-//! `solver.current_config()` to re-arm a single knob without disturbing
-//! the others (the pattern pooled probes use between jobs).
 //!
 //! # Examples
 //!
@@ -93,8 +77,7 @@ impl Default for InprocessConfig {
 /// The complete configuration of a [`Solver`](crate::Solver): resource
 /// control, proof logging, inprocessing and clause sharing.
 ///
-/// See the [module documentation](self) for the migration table from the
-/// deprecated `set_*` mutators and a usage example.
+/// See the [module documentation](self) for a usage example.
 #[derive(Clone, Debug, Default)]
 pub struct SolverConfig {
     ctl: ResourceCtl,

@@ -13,6 +13,7 @@ use crate::ctl::{Interrupt, ResourceCtl};
 use crate::heap::VarOrder;
 use crate::share::ShareHandle;
 use crate::{LBool, Lit, Var};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 mod inprocess;
@@ -111,7 +112,7 @@ pub struct SolverStats {
 const NO_REASON: u32 = u32::MAX;
 
 /// One step of the clausal (DRAT-style) derivation recorded by a proof
-/// logging [`Solver`] (see [`Solver::set_proof_logging`]).
+/// logging [`Solver`] (see [`SolverConfig::with_proof_logging`]).
 ///
 /// The sequence of steps, replayed in order on top of the premises,
 /// reconstructs the evolution of the solver's clause database. Every
@@ -126,9 +127,18 @@ pub enum ProofStep {
     Delete(Vec<Lit>),
 }
 
+/// Source of proof-log identities (see [`Certificate::log_id`]). Starts
+/// at 1, so 0 is free for hand-built certificates.
+static NEXT_LOG_ID: AtomicU64 = AtomicU64::new(1);
+
 /// The in-memory proof buffer of a logging solver.
-#[derive(Clone, Debug, Default)]
+///
+/// Both sections only ever grow. Cloning gives the copy a fresh identity:
+/// the two logs share a prefix but diverge from the clone point on.
+#[derive(Debug)]
 struct ProofLog {
+    /// The log's identity; see [`Certificate::log_id`].
+    id: u64,
     /// The trusted input clauses, recorded verbatim as passed to
     /// [`Solver::add_clause`] (plus a snapshot of the database at the
     /// moment logging was enabled).
@@ -147,6 +157,32 @@ struct ProofLog {
     root_units_logged: usize,
 }
 
+impl ProofLog {
+    fn new() -> Self {
+        ProofLog {
+            id: NEXT_LOG_ID.fetch_add(1, Ordering::Relaxed),
+            premises: Vec::new(),
+            steps: Vec::new(),
+            conclusion: None,
+            assumptions: Vec::new(),
+            root_units_logged: 0,
+        }
+    }
+}
+
+impl Clone for ProofLog {
+    fn clone(&self) -> Self {
+        ProofLog {
+            premises: self.premises.clone(),
+            steps: self.steps.clone(),
+            conclusion: self.conclusion.clone(),
+            assumptions: self.assumptions.clone(),
+            root_units_logged: self.root_units_logged,
+            ..ProofLog::new()
+        }
+    }
+}
+
 /// A borrowed view of everything needed to independently re-check an
 /// `Unsat` verdict: premises, derivation steps, the concluded clause and
 /// the assumptions it is expressed over.
@@ -155,6 +191,13 @@ struct ProofLog {
 /// forward RUP/DRAT checker.
 #[derive(Clone, Copy, Debug)]
 pub struct Certificate<'a> {
+    /// Identity of the proof log the certificate is a view of. A log
+    /// gets a fresh identity each time logging is enabled and on every
+    /// clone of its solver; under one identity `premises` and `steps`
+    /// only grow, so a checker that follows the log may resume where its
+    /// last check stopped. Identities start at 1; hand-built
+    /// certificates may use 0.
+    pub log_id: u64,
     /// Number of variables in the solver at certificate time.
     pub num_vars: usize,
     /// The trusted input clauses (exactly as given to the solver).
@@ -355,12 +398,21 @@ impl Solver {
     /// Applies a complete [`SolverConfig`]: resource control, proof
     /// logging, inprocessing and clause sharing in one call.
     ///
-    /// This is the one documented way to (re)configure a solver; see the
-    /// [`crate::config`] module for the migration table from the
-    /// deprecated per-knob setters. Applying a proof-logging
-    /// configuration to a solver that is already logging keeps the
-    /// existing buffer (so re-arming a budget between solves never drops
-    /// a certificate); applying a non-logging one discards it.
+    /// This is the one way to (re)configure a solver. Applying a
+    /// proof-logging configuration to a solver that is already logging
+    /// keeps the existing buffer (so re-arming a budget between solves
+    /// never drops a certificate); applying a non-logging one discards
+    /// it.
+    ///
+    /// While logging is on, every clause passed to [`Solver::add_clause`]
+    /// is recorded verbatim as a premise, and every learnt-clause addition
+    /// or deletion is recorded as a derivation step. After an `Unsat`
+    /// answer, [`Solver::certificate`] returns the material for an
+    /// independent forward RUP/DRAT check (the `axmc-check` crate
+    /// implements one). Enabling logging on a solver that already holds
+    /// clauses snapshots the current database (including the root-level
+    /// trail) as premises: certification is then relative to that state,
+    /// not to clauses added before the call.
     pub fn configure(&mut self, config: &SolverConfig) {
         self.ctl = config.ctl().clone();
         self.inprocess = config.inprocess().copied();
@@ -405,22 +457,6 @@ impl Solver {
         self.eliminated[v.index() as usize]
     }
 
-    /// Sets the resource budget applied to each subsequent `solve` call,
-    /// leaving any deadline or cancellation token in place.
-    #[deprecated(note = "use `Solver::configure` with `SolverConfig::with_budget` \
-                         (see the `axmc_sat::config` migration table)")]
-    pub fn set_budget(&mut self, budget: Budget) {
-        self.ctl = self.ctl.clone().with_budget(budget);
-    }
-
-    /// Sets the full resource control (budget, deadline, per-call timeout
-    /// and cancellation token) applied to each subsequent `solve` call.
-    #[deprecated(note = "use `Solver::configure` with `SolverConfig::with_ctl` \
-                         (see the `axmc_sat::config` migration table)")]
-    pub fn set_ctl(&mut self, ctl: ResourceCtl) {
-        self.ctl = ctl;
-    }
-
     /// The resource control currently governing `solve` calls.
     pub fn ctl(&self) -> &ResourceCtl {
         &self.ctl
@@ -432,27 +468,6 @@ impl Solver {
         self.last_interrupt
     }
 
-    /// Enables or disables clausal proof logging.
-    ///
-    /// While logging is on, every clause passed to [`Solver::add_clause`]
-    /// is recorded verbatim as a premise, and every learnt-clause addition
-    /// or deletion is recorded as a derivation step. After an `Unsat`
-    /// answer, [`Solver::certificate`] returns the complete material for
-    /// an independent forward RUP/DRAT check (the `axmc-check` crate
-    /// implements one).
-    ///
-    /// Enabling logging on a solver that already holds clauses snapshots
-    /// the current database (including the root-level trail) as premises:
-    /// certification is then relative to that state, not to clauses added
-    /// before the call. Disabling logging discards the buffer.
-    #[deprecated(
-        note = "use `Solver::configure` with `SolverConfig::with_proof_logging` \
-                         (see the `axmc_sat::config` migration table)"
-    )]
-    pub fn set_proof_logging(&mut self, on: bool) {
-        self.apply_proof_logging(on);
-    }
-
     fn apply_proof_logging(&mut self, on: bool) {
         if !on {
             self.proof = None;
@@ -461,7 +476,7 @@ impl Solver {
         if self.proof.is_some() {
             return;
         }
-        let mut log = ProofLog::default();
+        let mut log = ProofLog::new();
         for c in &self.clauses {
             if !c.deleted {
                 log.premises
@@ -490,6 +505,7 @@ impl Solver {
         let log = self.proof.as_deref()?;
         let conclusion = log.conclusion.as_deref()?;
         Some(Certificate {
+            log_id: log.id,
             num_vars: self.num_vars(),
             premises: &log.premises,
             steps: &log.steps,
@@ -1669,18 +1685,6 @@ mod tests {
             SolveResult::Unsat
         );
         assert_eq!(s.last_interrupt(), None, "Unsat verdict clears the reason");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_setters_still_forward() {
-        let mut s = pigeonhole(10);
-        s.set_budget(Budget::unlimited().with_conflicts(1));
-        assert_eq!(s.solve(), SolveResult::Unknown);
-        s.set_ctl(ResourceCtl::unlimited());
-        assert_eq!(s.ctl().budget().max_conflicts(), None);
-        s.set_proof_logging(true);
-        assert!(s.proof_logging());
     }
 
     #[test]

@@ -14,6 +14,22 @@ run() {
     "$@"
 }
 
+# Baseline gate, first of all: every committed baseline a bench-diff gate
+# below compares against must be tracked by git. A baseline that exists
+# only in one working tree (or not at all) would otherwise pass there and
+# abort the gate everywhere else, late in the run.
+baselines_tracked() {
+    echo "== bench-diff baselines tracked by git =="
+    local base fail=0
+    while IFS= read -r base; do
+        git ls-files --error-unmatch -- "$base" >/dev/null 2>&1 \
+            || { echo "error: bench-diff baseline '$base' is not tracked by git"; fail=1; }
+    done < <(grep -oE 'bench-diff --base bench_results/[A-Za-z0-9_.-]+' "$0" \
+             | awk '{print $3}' | sort -u)
+    (( fail == 0 )) || exit 1
+}
+baselines_tracked
+
 run cargo fmt --all -- --check
 run cargo clippy --workspace --all-targets --offline -- -D warnings
 run cargo clippy --workspace --all-targets --offline \

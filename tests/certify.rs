@@ -5,7 +5,7 @@
 
 use axmc::check::{check_certificate, ProofError};
 use axmc::circuit::{approx, generators};
-use axmc::core::{AnalysisOptions, SeqAnalyzer};
+use axmc::core::{AnalysisOptions, CombAnalyzer, SeqAnalyzer};
 use axmc::sat::{Certificate, Lit, ProofStep, ShareRing, SolveResult, Solver, SolverConfig, Var};
 use axmc::seq::accumulator;
 
@@ -166,6 +166,37 @@ fn certified_sequential_analysis_suite() {
         checked > 0,
         "the certified sweep must actually exercise the checker"
     );
+}
+
+#[test]
+fn certified_comb_wce_checks_every_unsat_probe_once() {
+    // The worst-case-error search probes one incremental solver; its
+    // proof checker follows that solver, so every UNSAT probe is
+    // certified (one `check.certified` each) and the value is unchanged.
+    // A thread-local metrics scope keeps other tests' solver calls out
+    // of the counts.
+    let golden = generators::array_multiplier(6).to_aig();
+    let candidate = approx::truncated_multiplier(6, 3).to_aig();
+    let plain = CombAnalyzer::new(&golden, &candidate)
+        .worst_case_error()
+        .expect("analysis");
+    axmc::obs::set_enabled(true);
+    let (certified, checks, unsat, steps) = axmc::obs::worker_scope(|| {
+        let report = CombAnalyzer::new(&golden, &candidate)
+            .with_options(AnalysisOptions::new().with_certify(true))
+            .worst_case_error()
+            .expect("certified analysis");
+        (
+            report,
+            axmc::obs::counter("check.certified").get(),
+            axmc::obs::counter("sat.result.unsat").get(),
+            axmc::obs::histogram("check.proof.steps").count(),
+        )
+    });
+    assert_eq!(certified.value, plain.value);
+    assert!(unsat >= 2, "the search must refute several thresholds");
+    assert_eq!(checks, unsat, "one certification per UNSAT probe");
+    assert_eq!(steps, unsat, "one proof-step record per check");
 }
 
 #[test]
